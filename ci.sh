@@ -85,6 +85,12 @@ cargo run -q -p itc-bench --release --offline --bin trace -- --export "$TRACE_TM
 diff -r "$TRACE_TMP/a" "$TRACE_TMP/b"
 rm -rf "$TRACE_TMP"
 
+# The benchmark's own correctness oracle: every fetch must return a value
+# its owner stored, and the post-salvage sweep must read every file's last
+# store. run.py exits non-zero when either check fails.
+echo "== data-path correctness oracle (bulk_share, one seed) =="
+python3 perfbench/run.py --workload bulk_share --seed 7 --seconds 1 --trace 0
+
 if [ "${1:-}" = "network" ]; then
     echo "== optional: property-based suite (networked) =="
     (cd extras/proptest-suite && cargo test -q && cargo bench --no-run)

@@ -140,12 +140,7 @@ impl JournalOp {
                 uid,
                 mtime,
                 data,
-            } => {
-                // The one counted payload copy on the store path: bytes
-                // cross from the refcounted payload into the volume's file
-                // system here (and only here).
-                vol.store(path, *uid, *mtime, data.to_vec()).map(|_| ())
-            }
+            } => vol.store(path, *uid, *mtime, data).map(|_| ()),
             JournalOp::Remove { path, mtime } => {
                 vol.fs_mut()?
                     .unlink(path, *mtime)

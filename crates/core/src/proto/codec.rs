@@ -21,7 +21,7 @@
 //! exactly (the digest is accounting-free), so every timing computation in
 //! the transport is bit-identical to the inline-payload design.
 
-use super::payload::{payload_digest, Payload};
+use super::payload::Payload;
 use super::types::{
     CallbackBreak, EntryKind, ServerId, VStatus, ViceError, ViceReply, ViceRequest,
 };
@@ -53,14 +53,17 @@ impl WireMsg {
 /// Appends the payload's length prefix and digest to the head (the bytes
 /// themselves ride out of band).
 fn put_payload(w: WireWriter, data: &Payload) -> WireWriter {
-    w.u32(data.len() as u32)
-        .u64(payload_digest(data.as_slice()))
+    w.u32(data.len() as u32).u64(data.digest())
 }
 
 /// Validates the out-of-band payload against the head's length and digest.
+/// The rider's digest is memoized in its shared buffer, so decoding the
+/// very payload this process encoded costs no second pass; a rider whose
+/// bytes differ from the encoded ones carries its own (or a cleared) memo
+/// and is hashed afresh.
 fn take_payload(payload: Option<Payload>, len: u32, digest: u64) -> Result<Payload, WireError> {
     let p = payload.ok_or(WireError::BadPayload)?;
-    if p.len() != len as usize || payload_digest(p.as_slice()) != digest {
+    if p.len() != len as usize || p.digest() != digest {
         return Err(WireError::BadPayload);
     }
     Ok(p)
@@ -620,40 +623,65 @@ mod tests {
         }
     }
 
+    /// Runs every rider rejection against one payload-carrying message
+    /// kind. `encode` builds the message around the given file bytes,
+    /// `decode` checks a head against a rider, and `bare` is a message of
+    /// a kind that carries no payload.
+    fn assert_rider_rejections(
+        encode: impl Fn(Payload) -> WireMsg,
+        decode: impl Fn(&[u8], Option<Payload>) -> Result<(), WireError>,
+        bare: WireMsg,
+    ) {
+        let WireMsg { head, payload } = encode(vec![1, 2, 3].into());
+        let mut rider = payload.expect("payload-carrying kind");
+        assert_eq!(decode(&head, Some(rider.clone())), Ok(()));
+        let wrong: [Option<Payload>; 4] = [
+            None,
+            Some(vec![1, 2, 4].into()),
+            Some(vec![1, 2].into()),
+            Some(vec![1, 2, 3, 4].into()),
+        ];
+        for w in wrong {
+            assert_eq!(decode(&head, w), Err(WireError::BadPayload));
+        }
+
+        // Changed in place after encoding. Encoding filled the digest memo
+        // of this very buffer, and nothing else holds it, so the edit does
+        // not copy; it must clear the memo for decode to see the new bytes.
+        crate::proto::payload::reset_bytes_copied();
+        rider.edit(|v| v[1] ^= 0xff);
+        assert_eq!(crate::proto::payload::bytes_copied(), 0, "edit in place");
+        assert_eq!(decode(&head, Some(rider)), Err(WireError::BadPayload));
+
+        // A stray rider on a kind that carries none.
+        assert!(bare.payload.is_none());
+        assert_eq!(
+            decode(&bare.head, Some(vec![9].into())),
+            Err(WireError::BadPayload)
+        );
+    }
+
     #[test]
     fn tampered_or_missing_payload_rejected() {
-        let msg = encode_request(&ViceRequest::Store {
-            path: "/v/f".into(),
-            data: vec![1, 2, 3].into(),
-        });
-        // Missing payload.
-        assert_eq!(decode_request(&msg.head, None), Err(WireError::BadPayload));
-        // Tampered payload (digest mismatch).
-        assert_eq!(
-            decode_request(&msg.head, Some(vec![1, 2, 4].into())),
-            Err(WireError::BadPayload)
+        assert_rider_rejections(
+            |data| {
+                encode_request(&ViceRequest::Store {
+                    path: "/v/f".into(),
+                    data,
+                })
+            },
+            |head, rider| decode_request(head, rider).map(drop),
+            encode_request(&ViceRequest::Fetch { path: "/v".into() }),
         );
-        // Wrong length.
-        assert_eq!(
-            decode_request(&msg.head, Some(vec![1, 2].into())),
-            Err(WireError::BadPayload)
-        );
-        // A stray payload on a message that does not carry one.
-        let fetch = encode_request(&ViceRequest::Fetch { path: "/v".into() });
-        assert!(fetch.payload.is_none());
-        assert_eq!(
-            decode_request(&fetch.head, Some(vec![9].into())),
-            Err(WireError::BadPayload)
-        );
-        // Same checks on the reply side.
-        let rmsg = encode_reply(&ViceReply::Data {
-            status: sample_status(),
-            data: vec![7; 50].into(),
-        });
-        assert_eq!(decode_reply(&rmsg.head, None), Err(WireError::BadPayload));
-        assert_eq!(
-            decode_reply(&rmsg.head, Some(vec![7; 49].into())),
-            Err(WireError::BadPayload)
+        assert_rider_rejections(
+            |data| {
+                encode_reply(&ViceReply::Data {
+                    status: sample_status(),
+                    data,
+                })
+            },
+            |head, rider| decode_reply(head, rider).map(drop),
+            encode_reply(&ViceReply::Status(sample_status())),
         );
     }
 

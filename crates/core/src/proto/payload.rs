@@ -4,21 +4,29 @@
 //! every hop: per encode, per retry attempt, per cache insert, per open.
 //! [`Payload`] wraps the bytes in an `Arc` so every hop after the first is
 //! a refcount bump, and a slice window (`off`/`len`) makes sub-views free.
-//! No external dependencies: the type is a thin shim over `Arc<Vec<u8>>`
-//! (constructing from an owned `Vec` moves the allocation; `Arc<[u8]>`
-//! would copy it).
+//! No external dependencies: the type is a thin shim over an `Arc` of the
+//! owned `Vec` (constructing from an owned `Vec` moves the allocation;
+//! `Arc<[u8]>` would copy it).
 //!
-//! The module also keeps a thread-local count of every byte genuinely
+//! The shared allocation also memoizes the buffer's [`payload_digest`]:
+//! the bytes are immutable while shared, so the codec's encode and decode
+//! checks and the volume's Merkle leaf all reuse one pass over them. The
+//! memo covers full views only and is cleared by [`Payload::make_mut`], the
+//! one way to change the bytes, so it can never disagree with them.
+//!
+//! The module also keeps thread-local counts of every byte genuinely
 //! copied through payload APIs — the quantity the PR 3 benchmark harness
-//! and the zero-copy regression tests assert on. Copies made outside this
-//! module at the two unavoidable boundaries (server file system, caller
-//! hand-off) are reported via [`note_copy`].
+//! and the zero-copy regression tests assert on — and of every byte fed
+//! to [`payload_digest`]. Copies made outside this module at the two
+//! unavoidable boundaries (server file system, caller hand-off) are
+//! reported via [`note_copy`].
 
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 thread_local! {
     static BYTES_COPIED: Cell<u64> = const { Cell::new(0) };
+    static BYTES_DIGESTED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Records `n` payload bytes copied (used by [`Payload`] internals and by
@@ -37,11 +45,29 @@ pub fn reset_bytes_copied() -> u64 {
     BYTES_COPIED.with(|c| c.replace(0))
 }
 
+/// Total bytes hashed by [`payload_digest`] on this thread since the last
+/// reset.
+pub fn bytes_digested() -> u64 {
+    BYTES_DIGESTED.with(Cell::get)
+}
+
+/// Resets the thread's digested-bytes counter and returns the old value.
+pub fn reset_bytes_digested() -> u64 {
+    BYTES_DIGESTED.with(|c| c.replace(0))
+}
+
+/// The shared allocation: the bytes plus their memoized digest.
+#[derive(Default)]
+struct Buf {
+    bytes: Vec<u8>,
+    digest: OnceLock<u64>,
+}
+
 /// An immutable, refcounted byte buffer with a slice window. Cloning is
 /// O(1); slicing shares the underlying allocation.
 #[derive(Clone, Default)]
 pub struct Payload {
-    buf: Arc<Vec<u8>>,
+    buf: Arc<Buf>,
     off: usize,
     len: usize,
 }
@@ -56,7 +82,10 @@ impl Payload {
     pub fn from_vec(v: Vec<u8>) -> Payload {
         let len = v.len();
         Payload {
-            buf: Arc::new(v),
+            buf: Arc::new(Buf {
+                bytes: v,
+                digest: OnceLock::new(),
+            }),
             off: 0,
             len,
         }
@@ -70,7 +99,26 @@ impl Payload {
 
     /// The viewed bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf[self.off..self.off + self.len]
+        &self.buf.bytes[self.off..self.off + self.len]
+    }
+
+    /// True when the view covers the whole shared buffer.
+    fn is_whole(&self) -> bool {
+        self.off == 0 && self.len == self.buf.bytes.len()
+    }
+
+    /// [`payload_digest`] of the viewed bytes. A full view hashes the
+    /// shared buffer at most once across all its clones; a slice hashes
+    /// its own bytes on every call.
+    pub fn digest(&self) -> u64 {
+        if self.is_whole() {
+            *self
+                .buf
+                .digest
+                .get_or_init(|| payload_digest(&self.buf.bytes))
+        } else {
+            payload_digest(self.as_slice())
+        }
     }
 
     /// Length of the view.
@@ -105,12 +153,12 @@ impl Payload {
     /// Converts into an owned `Vec`, free when this is the only reference
     /// to a full-view buffer, a counted copy otherwise.
     pub fn into_vec(self) -> Vec<u8> {
-        if self.off == 0 && self.len == self.buf.len() {
+        if self.is_whole() {
             match Arc::try_unwrap(self.buf) {
-                Ok(v) => return v,
+                Ok(buf) => return buf.bytes,
                 Err(buf) => {
                     note_copy(self.len);
-                    return buf[..self.len].to_vec();
+                    return buf.bytes.clone();
                 }
             }
         }
@@ -119,17 +167,17 @@ impl Payload {
 
     /// Mutable access for in-place edits (append under an open handle).
     /// Free when this payload is the sole, full-view owner; otherwise the
-    /// buffer is copied out first (counted).
+    /// buffer is copied out first (counted). Either way the digest memo is
+    /// cleared: the caller is about to change the bytes.
     pub fn make_mut(&mut self) -> &mut Vec<u8> {
-        let whole = self.off == 0 && self.len == self.buf.len();
-        if !whole || Arc::get_mut(&mut self.buf).is_none() {
+        if !self.is_whole() || Arc::get_mut(&mut self.buf).is_none() {
             note_copy(self.len);
-            self.buf = Arc::new(self.as_slice().to_vec());
-            self.off = 0;
+            *self = Payload::from_vec(self.as_slice().to_vec());
         }
-        let v = Arc::get_mut(&mut self.buf).expect("uniquely owned after copy-out");
-        self.len = v.len();
-        v
+        let buf = Arc::get_mut(&mut self.buf).expect("uniquely owned after copy-out");
+        buf.digest.take();
+        self.len = buf.bytes.len();
+        &mut buf.bytes
     }
 
     /// Runs `f` on the owned buffer and refreshes the view length.
@@ -214,6 +262,7 @@ impl AsRef<[u8]> for Payload {
 /// RPC2 side-effect bulk transfer) is integrity-bound to the authenticated
 /// channel: tampering with the rider is detected at decode.
 pub fn payload_digest(bytes: &[u8]) -> u64 {
+    BYTES_DIGESTED.with(|c| c.set(c.get() + bytes.len() as u64));
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;
@@ -292,6 +341,63 @@ mod tests {
         assert_eq!(a, vec![1, 2, 3]);
         assert_eq!(a, b"\x01\x02\x03");
         assert_ne!(a, Payload::empty());
+    }
+
+    #[test]
+    fn memoized_digest_equals_payload_digest() {
+        let check = |p: &Payload| assert_eq!(p.digest(), payload_digest(p.as_slice()), "{p:?}");
+        check(&Payload::empty());
+        let full = Payload::from_vec((0..=255).collect());
+        check(&full);
+        check(&full.slice(3, 200));
+        check(&full.slice(7, 7));
+
+        // Edited in place (unique owner) after the memo was filled.
+        let mut unique = Payload::from_vec(vec![1, 2, 3]);
+        check(&unique);
+        unique.edit(|v| v.push(4));
+        check(&unique);
+        assert_eq!(unique.digest(), payload_digest(&[1, 2, 3, 4]));
+
+        // Edited copy-on-write while a clone shares the memoized buffer:
+        // the edited copy gets a fresh memo, the clone keeps the old one.
+        let shared = unique.clone();
+        unique.edit(|v| v[0] = 9);
+        check(&unique);
+        check(&shared);
+        assert_ne!(unique.digest(), shared.digest());
+
+        // An edited slice is copied out into a full view of its own.
+        let mut sliced = full.slice(10, 20);
+        sliced.edit(|v| v.push(0));
+        check(&sliced);
+
+        // Round-trip through an owned Vec, both free and copied.
+        let back = Payload::from_vec(Payload::from_vec(vec![5; 64]).into_vec());
+        check(&back);
+        let held = back.clone();
+        check(&Payload::from_vec(back.into_vec()));
+        check(&held);
+    }
+
+    #[test]
+    fn clones_share_one_digest_pass() {
+        let p = Payload::from_vec(vec![3; 1000]);
+        let clones: Vec<Payload> = (0..5).map(|_| p.clone()).collect();
+        reset_bytes_digested();
+        let d = p.digest();
+        for c in &clones {
+            assert_eq!(c.digest(), d);
+        }
+        assert_eq!(p.digest(), d);
+        assert_eq!(bytes_digested(), 1000);
+
+        // Slices do not memoize: each call hashes the slice's own bytes.
+        reset_bytes_digested();
+        let s = p.slice(0, 100);
+        s.digest();
+        s.digest();
+        assert_eq!(bytes_digested(), 200);
     }
 
     #[test]

@@ -915,16 +915,19 @@ impl Server {
                         // The one genuine copy on the fetch path: reading
                         // the file out of the volume. From here to the
                         // client's cache the bytes travel by refcount.
-                        let data = fs.read_ino(resolved.ino).expect("regular file");
+                        let data =
+                            Payload::from_vec(fs.read_ino(resolved.ino).expect("regular file"));
                         // End-to-end check: the bytes leaving the platter
                         // must match the volume's Merkle leaf before they
                         // can reach Venus. A mismatch means silent rot got
                         // past every earlier verifier — serve nothing,
-                        // take the volume offline, surface the fault.
+                        // take the volume offline, surface the fault. The
+                        // digest is memoized in the payload, so this pass
+                        // is also the one the reply's rider check reuses.
                         let key =
                             itc_unixfs::normalize(&internal).unwrap_or_else(|_| internal.clone());
                         if let Some(expected) = self.volumes[vol_idx].merkle().leaf(&key) {
-                            if payload_digest(&data) != expected {
+                            if data.digest() != expected {
                                 let vid = self.volumes[vol_idx].id();
                                 self.offline_volume_for_integrity(vid, &key);
                                 self.mark_corruptions_detected(
@@ -949,10 +952,7 @@ impl Server {
                             Err(e) => return ViceReply::Error(e),
                         };
                         self.promise(path, from, costs, cost);
-                        ViceReply::Data {
-                            status,
-                            data: Payload::from_vec(data),
-                        }
+                        ViceReply::Data { status, data }
                     }
                     FileType::Directory => {
                         // Directories are fetchable as serialized listings:

@@ -17,7 +17,7 @@
 
 use crate::disk::{ScrubFinding, VolumeMerkle};
 use crate::protect::AccessList;
-use crate::proto::payload::payload_digest;
+use crate::proto::payload::{payload_digest, Payload};
 use itc_unixfs::{FileSystem, FsError, Ino, Mode};
 use std::collections::HashMap;
 
@@ -232,13 +232,16 @@ impl Volume {
         Ok(&self.fs)
     }
 
-    /// Stores a whole file (create or replace), enforcing the quota.
+    /// Stores a whole file (create or replace), enforcing the quota. The
+    /// bytes cross from the refcounted payload into the file system here,
+    /// in the one counted copy on the store path; the Merkle leaf reuses
+    /// the payload's memoized digest rather than hashing the copy again.
     pub fn store(
         &mut self,
         internal: &str,
         uid: u32,
         now: u64,
-        data: Vec<u8>,
+        data: &Payload,
     ) -> Result<Ino, VolumeError> {
         self.writable()?;
         let old = match self.fs.stat(internal) {
@@ -247,8 +250,8 @@ impl Volume {
         };
         let new_total = self.fs.data_bytes() - old + data.len() as u64;
         self.check_quota(new_total)?;
-        let digest = payload_digest(&data);
-        let ino = self.fs.write(internal, uid, now, data)?;
+        let digest = data.digest();
+        let ino = self.fs.write(internal, uid, now, data.to_vec())?;
         let key = itc_unixfs::normalize(internal).unwrap_or_else(|_| internal.to_string());
         self.merkle.set(&key, digest);
         Ok(ino)
@@ -630,12 +633,12 @@ mod tests {
     fn store_and_quota() {
         let mut v = vol();
         v.set_quota(Some(100));
-        v.store("/a.txt", 1, 10, vec![0u8; 60]).unwrap();
+        v.store("/a.txt", 1, 10, &vec![0u8; 60].into()).unwrap();
         assert_eq!(v.used_bytes(), 60);
         // Replacing the same file within quota is fine (60 -> 90).
-        v.store("/a.txt", 1, 11, vec![0u8; 90]).unwrap();
+        v.store("/a.txt", 1, 11, &vec![0u8; 90].into()).unwrap();
         // Another 20 bytes would exceed 100.
-        let err = v.store("/b.txt", 1, 12, vec![0u8; 20]).unwrap_err();
+        let err = v.store("/b.txt", 1, 12, &vec![0u8; 20].into()).unwrap_err();
         assert!(matches!(
             err,
             VolumeError::QuotaExceeded {
@@ -644,8 +647,8 @@ mod tests {
             }
         ));
         // Shrinking is always allowed.
-        v.store("/a.txt", 1, 13, vec![0u8; 10]).unwrap();
-        v.store("/b.txt", 1, 14, vec![0u8; 20]).unwrap();
+        v.store("/a.txt", 1, 13, &vec![0u8; 10].into()).unwrap();
+        v.store("/b.txt", 1, 14, &vec![0u8; 20].into()).unwrap();
     }
 
     #[test]
@@ -655,7 +658,7 @@ mod tests {
         let acl = v.acl_for("/doc").unwrap();
         assert_eq!(acl.effective_rights(["satya"]), Rights::ALL);
         // A file inside is protected by its directory.
-        v.store("/doc/a.tex", 1, 6, b"x".to_vec()).unwrap();
+        v.store("/doc/a.tex", 1, 6, &b"x".to_vec().into()).unwrap();
         let acl = v.acl_for("/doc/a.tex").unwrap();
         assert_eq!(acl.effective_rights(["u", "cmu"]), Rights::READ_ONLY);
         // Changing /doc's ACL does not touch the root's.
@@ -689,17 +692,17 @@ mod tests {
     #[test]
     fn readonly_clone_rejects_writes_and_snapshots_data() {
         let mut v = vol();
-        v.store("/rel.txt", 1, 5, b"v1".to_vec()).unwrap();
+        v.store("/rel.txt", 1, 5, &b"v1".to_vec().into()).unwrap();
         let mut clone = v.clone_readonly(VolumeId(100));
         assert!(clone.is_read_only());
         assert_eq!(clone.fs().read("/rel.txt").unwrap(), b"v1");
         assert!(matches!(
-            clone.store("/rel.txt", 1, 6, b"v2".to_vec()),
+            clone.store("/rel.txt", 1, 6, &b"v2".to_vec().into()),
             Err(VolumeError::ReadOnly)
         ));
         assert!(clone.fs_mut().is_err());
         // Source keeps evolving; the clone is frozen.
-        v.store("/rel.txt", 1, 7, b"v2".to_vec()).unwrap();
+        v.store("/rel.txt", 1, 7, &b"v2".to_vec().into()).unwrap();
         assert_eq!(clone.fs().read("/rel.txt").unwrap(), b"v1");
         // Refresh = atomic release of the new version.
         clone.refresh_from(&v);
@@ -709,11 +712,11 @@ mod tests {
     #[test]
     fn offline_volume_rejects_everything() {
         let mut v = vol();
-        v.store("/a", 1, 5, b"x".to_vec()).unwrap();
+        v.store("/a", 1, 5, &b"x".to_vec().into()).unwrap();
         v.set_online(false);
         assert!(matches!(v.fs_read(), Err(VolumeError::Offline)));
         assert!(matches!(
-            v.store("/a", 1, 6, b"y".to_vec()),
+            v.store("/a", 1, 6, &b"y".to_vec().into()),
             Err(VolumeError::Offline)
         ));
         assert!(matches!(v.acl_for("/a"), Err(VolumeError::Offline)));
@@ -724,7 +727,7 @@ mod tests {
     #[test]
     fn relocation_moves_the_mount() {
         let mut v = vol();
-        v.store("/a", 1, 5, b"x".to_vec()).unwrap();
+        v.store("/a", 1, 5, &b"x".to_vec().into()).unwrap();
         v.relocate("/vice/usr/satyanarayanan");
         assert!(v.covers("/vice/usr/satyanarayanan/a"));
         assert!(!v.covers("/vice/usr/satya/a"));
@@ -745,10 +748,10 @@ mod tests {
         let mut v = vol();
         v.set_quota(Some(100));
         // Landing exactly on the limit is allowed...
-        v.store("/a", 1, 5, vec![0u8; 100]).unwrap();
+        v.store("/a", 1, 5, &vec![0u8; 100].into()).unwrap();
         assert_eq!(v.used_bytes(), 100);
         // ...but one byte over is not, and the error names both sides.
-        let err = v.store("/b", 1, 6, vec![0u8; 1]).unwrap_err();
+        let err = v.store("/b", 1, 6, &vec![0u8; 1].into()).unwrap_err();
         assert_eq!(
             err,
             VolumeError::QuotaExceeded {
@@ -759,13 +762,13 @@ mod tests {
         // A failed store leaves usage untouched.
         assert_eq!(v.used_bytes(), 100);
         // Replacing the full file with an equally full one still fits.
-        v.store("/a", 1, 7, vec![1u8; 100]).unwrap();
+        v.store("/a", 1, 7, &vec![1u8; 100].into()).unwrap();
         // Tightening the quota below current usage blocks any growth but
         // permits shrinking.
         v.set_quota(Some(50));
-        let err = v.store("/b", 1, 8, vec![0u8; 1]).unwrap_err();
+        let err = v.store("/b", 1, 8, &vec![0u8; 1].into()).unwrap_err();
         assert!(matches!(err, VolumeError::QuotaExceeded { limit: 50, .. }));
-        v.store("/a", 1, 9, vec![0u8; 40]).unwrap();
+        v.store("/a", 1, 9, &vec![0u8; 40].into()).unwrap();
         assert_eq!(v.used_bytes(), 40);
     }
 
@@ -773,7 +776,7 @@ mod tests {
     fn readonly_clone_rejects_every_mutation_path() {
         let mut v = vol();
         v.mkdir_inherit("/doc", 1, 5).unwrap();
-        v.store("/doc/a", 1, 6, b"x".to_vec()).unwrap();
+        v.store("/doc/a", 1, 6, &b"x".to_vec().into()).unwrap();
         let mut clone = v.clone_readonly(VolumeId(100));
 
         assert_eq!(
@@ -786,7 +789,9 @@ mod tests {
             VolumeError::ReadOnly
         );
         assert_eq!(
-            clone.store("/doc/a", 1, 7, b"y".to_vec()).unwrap_err(),
+            clone
+                .store("/doc/a", 1, 7, &b"y".to_vec().into())
+                .unwrap_err(),
             VolumeError::ReadOnly
         );
         assert!(matches!(clone.fs_mut(), Err(VolumeError::ReadOnly)));
@@ -814,7 +819,7 @@ mod tests {
         let mut clone = v.clone_readonly(VolumeId(100));
         clone.set_online(false);
         assert_eq!(
-            clone.store("/x", 1, 7, vec![1]).unwrap_err(),
+            clone.store("/x", 1, 7, &vec![1].into()).unwrap_err(),
             VolumeError::Offline
         );
     }
@@ -824,7 +829,7 @@ mod tests {
         let mut v = vol();
         v.set_quota(Some(1000));
         v.mkdir_inherit("/doc", 1, 5).unwrap();
-        v.store("/doc/a.tex", 1, 6, vec![0u8; 300]).unwrap();
+        v.store("/doc/a.tex", 1, 6, &vec![0u8; 300].into()).unwrap();
         v.fs_mut()
             .unwrap()
             .symlink("/l", "/doc/a.tex", 1, 7)

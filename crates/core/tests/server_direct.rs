@@ -32,7 +32,8 @@ fn make_server(validation: ValidationMode) -> Server {
     acl.grant("staff", Rights::ALL);
     acl.grant("anyuser", Rights::READ_ONLY);
     let mut vol = Volume::new(VolumeId(1), "test", "/vice/t", acl);
-    vol.store("/hello.txt", 1, 0, b"hello".to_vec()).unwrap();
+    vol.store("/hello.txt", 1, 0, &b"hello".to_vec().into())
+        .unwrap();
     srv.add_volume(vol);
     srv.location_mut().assign("/vice/t", ServerId(0));
     srv

@@ -13,10 +13,18 @@
 //! A warm open-hit must register zero payload copies and allocate far less
 //! than one file's worth of bytes: the cached `Payload` is handed to the
 //! open handle by refcount bump.
+//!
+//! A third meter, the digest counter (`proto::payload::bytes_digested`),
+//! pins the number of FNV-1a passes over file bytes: the digest is
+//! memoized in the shared payload buffer, so each transfer hashes its file
+//! once.
 
 use itc_afs::core::config::SystemConfig;
-use itc_afs::core::proto::payload::{bytes_copied, reset_bytes_copied};
+use itc_afs::core::proto::payload::{
+    bytes_copied, bytes_digested, reset_bytes_copied, reset_bytes_digested,
+};
 use itc_afs::core::system::ItcSystem;
+use itc_afs::sim::TraversalMode;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -102,6 +110,45 @@ fn warm_open_hit_copies_no_payload_bytes() {
     let h = sys.open_read(0, "/vice/usr/satya/big.dat").unwrap();
     assert_eq!(sys.read(0, h).unwrap(), body);
     sys.close(0, h).unwrap();
+}
+
+/// One digest pass per transfer. A store is hashed once, by the client's
+/// encode; the server's decode check and the Merkle leaf reuse that memo.
+/// A fetch miss is hashed once, by the server's end-to-end Merkle check on
+/// the bytes it serves; the reply's encode and the client's decode reuse
+/// it. A warm open-hit moves no bytes and hashes none.
+#[test]
+fn each_transfer_digests_its_file_once() {
+    let _window = METER.lock().unwrap();
+    const SIZE: u64 = 256 * 1024;
+    // Server-side traversal: Venus fetches no directory listings to
+    // resolve the path, so the windows below hold only the file's bytes.
+    let mut config = SystemConfig::revised(1, 2);
+    config.traversal = TraversalMode::ServerSide;
+    let mut sys = ItcSystem::build(config);
+    sys.add_user("satya", "pw").unwrap();
+    sys.login(0, "satya", "pw").unwrap();
+    sys.login(1, "satya", "pw").unwrap();
+    sys.mkdir_p(0, "/vice/usr/satya").unwrap();
+    let path = "/vice/usr/satya/share.dat";
+    let body: Vec<u8> = (0..SIZE).map(|i| (i * 31 % 251) as u8).collect();
+
+    reset_bytes_digested();
+    sys.store(0, path, body.clone()).unwrap();
+    assert_eq!(bytes_digested(), SIZE, "cold store");
+
+    reset_bytes_digested();
+    assert_eq!(sys.fetch(1, path).unwrap(), body);
+    assert_eq!(
+        bytes_digested(),
+        SIZE,
+        "fetch miss from another workstation"
+    );
+
+    reset_bytes_digested();
+    let h = sys.open_read(1, path).unwrap();
+    sys.close(1, h).unwrap();
+    assert_eq!(bytes_digested(), 0, "warm open-hit");
 }
 
 /// Per-call statistics are on the hot path of every simulated RPC: once a
